@@ -24,6 +24,8 @@ module Psi = Repro_gadget.Psi
 module NP = Repro_gadget.Ne_psi
 module Spec = Repro_padding.Spec
 module H = Repro_padding.Hierarchy
+module PP = Repro_padding.Pi_prime
+module PT = Repro_padding.Padded_types
 module Prov = Repro_obs.Provenance
 
 type verdict = (unit, string) result
@@ -391,6 +393,20 @@ let bfs_dist g src =
   done;
   d
 
+(* GadOk <-> witness *)
+let flip_status (o : NP.node_out) =
+  {
+    o with
+    NP.status =
+      (match o.NP.status with NP.NOk -> NP.NWit | NP.NPtr _ | NP.NWit -> NP.NOk);
+  }
+
+let flip_psi_status (sol : NP.solution) ~site =
+  let c = Labeling.copy sol in
+  let x = site mod Array.length sol.Labeling.v in
+  c.Labeling.v.(x) <- flip_status sol.Labeling.v.(x);
+  c
+
 let gadget (case : Gen_gadget.case) =
   let delta = max 1 case.Gen_gadget.delta in
   let t, fault = Gen_gadget.build case in
@@ -412,6 +428,12 @@ let gadget (case : Gen_gadget.case) =
   let sol, _ = NP.prove ~delta ~n t in
   let& () =
     requiref (NP.is_valid ~delta t sol) "node-edge proof rejected by Ne_psi"
+  in
+  let site = match case.Gen_gadget.corruption with Some (_, s) -> s | None -> 0 in
+  let& () =
+    requiref
+      (NP.violations ~delta t (flip_psi_status sol ~site) <> [])
+      "Ne_psi accepts a proof with node %d's status flipped" (site mod n)
   in
   match fault with
   | None ->
@@ -441,14 +463,94 @@ let gadget (case : Gen_gadget.case) =
 
 (* ------------------------------------------------------------------ *)
 
-let padding (level, target, seed) =
-  let stats = Spec.run_hard (H.level level) ~seed ~target in
+type padded_corruption = Flip_s | Toggle_perr2 | Swap_eps | Flip_status
+
+let padded_corruptions = [ Flip_s; Toggle_perr2; Swap_eps; Flip_status ]
+
+let pp_padded_corruption fmt k =
+  Format.pp_print_string fmt
+    (match k with
+    | Flip_s -> "flip-s"
+    | Toggle_perr2 -> "toggle-perr2"
+    | Swap_eps -> "swap-eps"
+    | Flip_status -> "flip-status")
+
+let corrupt_padded g kind ~site
+    (out : (('vi, 'ei, 'bi, 'vo, 'eo, 'bo) PT.pv_out, unit, PT.pb_out) Labeling.t)
+    =
+  let c = Labeling.copy out in
+  let x = site mod Array.length out.Labeling.v in
+  let o = out.Labeling.v.(x) in
+  (match kind with
+  | Flip_s ->
+    let l = o.PT.list_part in
+    let s = Array.copy l.PT.s in
+    let i = site / Array.length out.Labeling.v mod Array.length s in
+    s.(i) <- not s.(i);
+    c.Labeling.v.(x) <- { o with PT.list_part = { l with PT.s } }
+  | Toggle_perr2 ->
+    c.Labeling.v.(x) <-
+      {
+        o with
+        PT.perr =
+          (match o.PT.perr with
+          | PT.PortErr2 -> PT.NoPortErr
+          | PT.PortErr1 | PT.NoPortErr -> PT.PortErr2);
+      }
+  | Swap_eps ->
+    let h = site mod Array.length out.Labeling.b in
+    c.Labeling.b.(h) <-
+      (match out.Labeling.b.(h) with
+      | Some _ -> None
+      | None ->
+        Some
+          {
+            NP.mirror = out.Labeling.v.(G.half_node g h).PT.psi_v;
+            bad_edge = false;
+            color_claim = None;
+            to_next = [];
+            from_prev = [];
+          })
+  | Flip_status -> c.Labeling.v.(x) <- { o with PT.psi_v = flip_status o.PT.psi_v });
+  c
+
+(* the padded levels, typed (H.level packs them existentially) *)
+let pi2 = lazy (PP.pad H.sinkless_orientation)
+let pi3 = lazy (PP.pad (Lazy.force pi2))
+
+(* [Spec.run_hard]'s instance and both solver outputs *)
+let padded_run (spec : _ Spec.t) ~target ~seed =
+  let rng = Random.State.make [| seed |] in
+  let g, input = spec.Spec.hard_instance rng ~target in
+  let inst = Instance.create ~seed g in
+  let out_d, _ = spec.Spec.solve_det inst input in
+  let out_r, _ = spec.Spec.solve_rand inst input in
+  (g, input, out_d, out_r)
+
+let padding_at spec (target, seed) =
+  let g, input, out_d, out_r = padded_run spec ~target ~seed in
+  let accepted out = Ne_lcl.violations spec.Spec.problem g ~input ~output:out = [] in
   let& () =
-    requiref stats.Spec.det_valid "deterministic padded solution invalid (n=%d)"
-      stats.Spec.n
+    requiref (accepted out_d) "deterministic padded solution invalid (n=%d)"
+      (G.n g)
   in
-  requiref stats.Spec.rand_valid "randomized padded solution invalid (n=%d)"
-    stats.Spec.n
+  let& () =
+    requiref (accepted out_r) "randomized padded solution invalid (n=%d)" (G.n g)
+  in
+  (* each corruption breaks a constraint outright on a hard instance
+     (every gadget valid): Σ_list agreement (6), PortErr2 placement (3),
+     ε placement (1), the Ψ_G mirror rule (2) *)
+  let kind = List.nth padded_corruptions (seed mod 4) and site = seed / 4 in
+  requiref
+    (not (accepted (corrupt_padded g kind ~site out_d)))
+    "padded checker accepts a corrupted output (%a, site %d, n=%d)"
+    pp_padded_corruption kind site (G.n g)
+
+let padding (level, target, seed) =
+  match level with
+  | 2 -> padding_at (Lazy.force pi2) (target, seed)
+  | 3 -> padding_at (Lazy.force pi3) (target, seed)
+  | _ -> invalid_arg "Oracle.padding: level must be 2 or 3"
 
 let provenance (reg, seed) =
   let g = Gen_graph.to_regular reg in

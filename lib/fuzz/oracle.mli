@@ -9,8 +9,9 @@
       {!Repro_gadget.Psi} (a corrupted gadget must be rejected by both,
       with the error proof localizing the planted fault) ×
       {!Repro_gadget.Ne_psi};
-    - padded Π' instances solved and validated through
-      {!Repro_padding.Spec.run_hard};
+    - padded Π' instances solved and validated as
+      {!Repro_padding.Spec.run_hard} does, plus one corrupted output
+      label the checker must reject;
     - locality provenance certificates on fuzzed runs
       ({!Repro_local.Audit}, {!Repro_lcl.Distributed_check.audited_run}).
 
@@ -85,11 +86,59 @@ val flat_vs_boxed : Gen_graph.recipe * int -> verdict
     [max_rounds], on both heap (int list) and float messages. *)
 
 val gadget : Gen_gadget.case -> verdict
-(** Check × Verifier × Psi × Ne_psi as described above. *)
+(** Check × Verifier × Psi × Ne_psi as described above; the prover's
+    solution with one node's status flipped ({!flip_psi_status}, site
+    from the corruption seed) must be rejected by Ne_psi. *)
+
+val flip_psi_status : Repro_gadget.Ne_psi.solution -> site:int -> Repro_gadget.Ne_psi.solution
+(** A copy with node [site mod n]'s Ψ_G status flipped (GadOk ↔ witness)
+    in the node slot only, so the mirror rule always rejects it. *)
 
 val padding : int * int * int -> verdict
-(** [(level, target, seed)]: Π^level on a fresh hard instance — both
-    solvers' outputs must validate. *)
+(** [(level, target, seed)], level 2 or 3: Π^level on the hard instance
+    {!Repro_padding.Spec.run_hard} builds — both solvers' outputs must
+    validate, and the deterministic output with one label corrupted
+    ({!corrupt_padded}, kind [seed mod 4], site [seed / 4]) must be
+    rejected. *)
+
+(** {1 Padded-output corruption} *)
+
+type padded_corruption =
+  | Flip_s  (** one node's copy of Σ_list with one [s] bit flipped *)
+  | Toggle_perr2
+      (** one node's port error toggled to/from [PortErr2] (constraint 3) *)
+  | Swap_eps  (** one half's ε ↔ Ψ_G half output *)
+  | Flip_status  (** one node's Ψ_G status flipped in the node slot *)
+
+val padded_corruptions : padded_corruption list
+
+val pp_padded_corruption : Format.formatter -> padded_corruption -> unit
+
+val corrupt_padded :
+  Repro_graph.Multigraph.t ->
+  padded_corruption ->
+  site:int ->
+  ( ('vi, 'ei, 'bi, 'vo, 'eo, 'bo) Repro_padding.Padded_types.pv_out,
+    unit,
+    Repro_padding.Padded_types.pb_out )
+  Repro_lcl.Labeling.t ->
+  ( ('vi, 'ei, 'bi, 'vo, 'eo, 'bo) Repro_padding.Padded_types.pv_out,
+    unit,
+    Repro_padding.Padded_types.pb_out )
+  Repro_lcl.Labeling.t
+(** A copy of a padded output with one label corrupted at [site] (taken
+    modulo the node or half count). *)
+
+val padded_run :
+  ('vi, 'ei, 'bi, 'vo, 'eo, 'bo) Repro_padding.Spec.t ->
+  target:int ->
+  seed:int ->
+  Repro_graph.Multigraph.t
+  * ('vi, 'ei, 'bi) Repro_lcl.Labeling.t
+  * ('vo, 'eo, 'bo) Repro_lcl.Labeling.t
+  * ('vo, 'eo, 'bo) Repro_lcl.Labeling.t
+(** The instance and the deterministic and randomized outputs of
+    {!Repro_padding.Spec.run_hard} with the same [target] and [seed]. *)
 
 val provenance : Gen_graph.regular * int -> verdict
 (** Certificates: replay the SO-det meter as an audited flood, and run

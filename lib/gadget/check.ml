@@ -186,57 +186,75 @@ let is_valid ~delta t = violations ~delta t = []
    a top-level function taking its state as explicit arguments: local
    closures and the [Some h] results of [Labels.half_with]/[follow]
    would otherwise dominate the prover's allocation (they did — see
-   EXPERIMENTS.md's W-dispatch allocation table). Kept in lockstep with
-   [node_violations] by the equivalence sweep in test/test_gadget.ml. *)
+   EXPERIMENTS.md's W-dispatch allocation table). The graph's CSR arrays
+   are hoisted once per call and indexed directly ([prt] the flat port
+   slices, [hn] the node of each half, [h lxor 1] a half's mate):
+   dune's dev profile compiles with -opaque, so [G.half_at]/[G.mate]/
+   [G.half_node] would be real cross-module calls in every inner loop.
+   Labels are compared by [match] ([equal_half_label]), never by
+   polymorphic [=]. Kept in lockstep with [node_violations] by the
+   equivalence sweep in test/test_gadget.ml. *)
 
 exception Bad_node
 
-(* the half at [v] labeled [l] (a constant constructor), or -1 *)
-let rec half_find (t : Labels.t) v l k d =
-  if k >= d then -1
+(* the half labeled [l] among the flat port slots [k, stop), or -1 *)
+let rec half_find (halves : half_label array) prt l k stop =
+  if k >= stop then -1
   else
-    let h = G.half_at t.graph v k in
-    if t.halves.(h) = l then h else half_find t v l (k + 1) d
+    let h = prt.(k) in
+    if equal_half_label halves.(h) l then h
+    else half_find halves prt l (k + 1) stop
 
-let half_with_i (t : Labels.t) v l = half_find t v l 0 (G.degree t.graph v)
-let has_half_i t v l = half_with_i t v l >= 0
+let half_with_i halves off prt v l = half_find halves prt l off.(v) off.(v + 1)
+let has_half_i halves off prt v l = half_with_i halves off prt v l >= 0
 
 (* the neighbor across the [l]-labeled half of [v], or -1 *)
-let follow_i (t : Labels.t) v l =
-  let h = half_with_i t v l in
-  if h < 0 then -1 else G.half_node t.graph (G.mate h)
+let follow_i halves off prt hn v l =
+  let h = half_with_i halves off prt v l in
+  if h < 0 then -1 else hn.(h lxor 1)
 
-(* all of [u]'s labels are LChild/RChild/Up (3e's root shape) *)
-let rec root_labels (t : Labels.t) u k d =
-  k >= d
+(* 3g: [w] is absent or has no children *)
+let childless halves off prt w =
+  w < 0
+  || ((not (has_half_i halves off prt w LChild))
+     && not (has_half_i halves off prt w RChild))
+
+(* all labels in the port slots [k, stop) are LChild/RChild/Up (3e's
+   root shape) *)
+let rec root_labels (halves : half_label array) prt k stop =
+  k >= stop
   ||
-  match t.halves.(G.half_at t.graph u k) with
-  | LChild | RChild | Up -> root_labels t u (k + 1) d
+  match halves.(prt.(k)) with
+  | LChild | RChild | Up -> root_labels halves prt (k + 1) stop
   | Parent | Left | Right | Down _ -> false
 
-let rec center_count (t : Labels.t) g u k d acc =
-  if k >= d then acc
+let rec center_count (nodes : node_label array) prt hn k stop acc =
+  if k >= stop then acc
   else
-    let w = G.half_node g (G.mate (G.half_at g u k)) in
-    center_count t g u (k + 1) d
-      (if t.nodes.(w).kind = Center then acc + 1 else acc)
+    center_count nodes prt hn (k + 1) stop
+      (match nodes.(hn.(prt.(k) lxor 1)).kind with
+      | Center -> acc + 1
+      | Index _ -> acc)
 
 let node_bad ~delta (t : Labels.t) u =
   let g = t.graph in
-  let d = G.degree g u in
-  let nl = t.nodes.(u) in
+  let off = G.ports_off g and prt = G.ports_flat g in
+  let hn = G.half_node_flat g in
+  let halves = t.halves and nodes = t.nodes in
+  let lo = off.(u) and stop = off.(u + 1) in
+  let nl = nodes.(u) in
   try
     (* presence bitmask over the constant structural labels *)
     let mask = ref 0 in
-    for k = 0 to d - 1 do
-      (match t.halves.(G.half_at g u k) with
+    for k = lo to stop - 1 do
+      match halves.(prt.(k)) with
       | Parent -> mask := !mask lor 1
       | LChild -> mask := !mask lor 2
       | RChild -> mask := !mask lor 4
       | Left -> mask := !mask lor 8
       | Right -> mask := !mask lor 16
       | Up -> mask := !mask lor 32
-      | Down _ -> mask := !mask lor 64)
+      | Down _ -> mask := !mask lor 64
     done;
     let m = !mask in
     let has_parent = m land 1 <> 0 and has_lchild = m land 2 <> 0 in
@@ -248,44 +266,47 @@ let node_bad ~delta (t : Labels.t) u =
        replicated flags), d2 (replicated color, far color <> ours) *)
     let fr = has_right and fle = has_left in
     let fc = has_lchild || has_rchild in
-    for i = 0 to d - 1 do
-      let hi = G.half_at g u i in
-      let fari = G.half_node g (G.mate hi) in
+    for i = lo to stop - 1 do
+      let hi = prt.(i) in
+      let fari = hn.(hi lxor 1) in
       if fari = u then raise Bad_node;
       let f = t.half_flags.(hi) in
       if f.f_right <> fr || f.f_left <> fle || f.f_child <> fc then
         raise Bad_node;
       if t.half_color2.(hi) <> c then raise Bad_node;
-      if t.nodes.(fari).color2 = c then raise Bad_node;
-      for j = i + 1 to d - 1 do
-        let hj = G.half_at g u j in
-        let farj = G.half_node g (G.mate hj) in
+      let ci = nodes.(fari).color2 in
+      if ci = c then raise Bad_node;
+      let li = halves.(hi) in
+      for j = i + 1 to stop - 1 do
+        let hj = prt.(j) in
+        let farj = hn.(hj lxor 1) in
         if fari = farj then raise Bad_node;
-        if t.halves.(hi) = t.halves.(hj) then raise Bad_node;
-        if t.nodes.(fari).color2 = t.nodes.(farj).color2 then raise Bad_node
+        if equal_half_label li halves.(hj) then raise Bad_node;
+        if ci = nodes.(farj).color2 then raise Bad_node
       done
     done;
     (match nl.kind with
     | Center ->
       (* c2a-c2d, 1d *)
-      if d <> delta then raise Bad_node;
-      if nl.port <> None then raise Bad_node;
-      for k = 0 to d - 1 do
-        let h = G.half_at g u k in
-        let w = G.half_node g (G.mate h) in
-        (match t.nodes.(w).kind with
+      if stop - lo <> delta then raise Bad_node;
+      (match nl.port with Some _ -> raise Bad_node | None -> ());
+      for k = lo to stop - 1 do
+        let h = prt.(k) in
+        (match nodes.(hn.(h lxor 1)).kind with
         | Index i -> (
-          match t.halves.(h) with
+          match halves.(h) with
           | Down j -> if j <> i then raise Bad_node
-          | _ -> raise Bad_node)
+          | Parent | LChild | RChild | Left | Right | Up -> raise Bad_node)
         | Center -> raise Bad_node);
-        if t.halves.(G.mate h) <> Up then raise Bad_node
+        match halves.(h lxor 1) with
+        | Up -> ()
+        | Parent | LChild | RChild | Left | Right | Down _ -> raise Bad_node
       done;
-      for i = 0 to d - 1 do
-        for j = i + 1 to d - 1 do
+      for i = lo to stop - 1 do
+        for j = i + 1 to stop - 1 do
           match
-            ( t.nodes.(G.half_node g (G.mate (G.half_at g u i))).kind,
-              t.nodes.(G.half_node g (G.mate (G.half_at g u j))).kind )
+            ( nodes.(hn.(prt.(i) lxor 1)).kind,
+              nodes.(hn.(prt.(j) lxor 1)).kind )
           with
           | Index a, Index b -> if a = b then raise Bad_node
           | (Center | Index _), _ -> ()
@@ -296,79 +317,87 @@ let node_bad ~delta (t : Labels.t) u =
       (match nl.port with
       | Some j -> if j <> i then raise Bad_node
       | None -> ());
-      for k = 0 to d - 1 do
-        let h = G.half_at g u k in
-        let w = G.half_node g (G.mate h) in
-        let ml = t.halves.(G.mate h) in
-        match t.halves.(h) with
-        | Parent | LChild | RChild | Left | Right ->
-          (match t.nodes.(w).kind with
+      for k = lo to stop - 1 do
+        let h = prt.(k) in
+        let far = nodes.(hn.(h lxor 1)) in
+        match halves.(h) with
+        | (Parent | LChild | RChild | Left | Right) as l -> (
+          (match far.kind with
           | Index j -> if j <> i then raise Bad_node
           | Center -> raise Bad_node);
-          (match t.halves.(h) with
-          | Left -> if ml <> Right then raise Bad_node
-          | Right -> if ml <> Left then raise Bad_node
-          | Parent -> if ml <> RChild && ml <> LChild then raise Bad_node
-          | LChild | RChild -> if ml <> Parent then raise Bad_node
-          | Up | Down _ -> ())
-        | Up -> if t.nodes.(w).kind <> Center then raise Bad_node
+          match (l, halves.(h lxor 1)) with
+          | Left, Right | Right, Left -> ()
+          | Parent, (RChild | LChild) -> ()
+          | (LChild | RChild), Parent -> ()
+          | (Left | Right | Parent | LChild | RChild), _ -> raise Bad_node
+          | (Up | Down _), _ -> ())
+        | Up -> (
+          match far.kind with Center -> () | Index _ -> raise Bad_node)
         | Down _ -> raise Bad_node
       done;
       (* 2c: u(LChild, Right, Parent) = u *)
-      let w1 = follow_i t u LChild in
+      let w1 = follow_i halves off prt hn u LChild in
       if w1 >= 0 then begin
-        let w2 = follow_i t w1 Right in
+        let w2 = follow_i halves off prt hn w1 Right in
         if w2 >= 0 then begin
-          let w3 = follow_i t w2 Parent in
+          let w3 = follow_i halves off prt hn w2 Parent in
           if w3 >= 0 && w3 <> u then raise Bad_node
         end
       end;
       (* 2d: u(Right, LChild, Left, Parent) = u *)
-      let w1 = follow_i t u Right in
+      let w1 = follow_i halves off prt hn u Right in
       if w1 >= 0 then begin
-        let w2 = follow_i t w1 LChild in
+        let w2 = follow_i halves off prt hn w1 LChild in
         if w2 >= 0 then begin
-          let w3 = follow_i t w2 Left in
+          let w3 = follow_i halves off prt hn w2 Left in
           if w3 >= 0 then begin
-            let w4 = follow_i t w3 Parent in
+            let w4 = follow_i halves off prt hn w3 Parent in
             if w4 >= 0 && w4 <> u then raise Bad_node
           end
         end
       end;
       (* 3a-3d *)
-      let ph = half_with_i t u Parent in
+      let ph = half_with_i halves off prt u Parent in
       if ph >= 0 then begin
-        let p = G.half_node g (G.mate ph) in
-        let mlab = t.halves.(G.mate ph) in
-        if (not has_right) <> ((not (has_half_i t p Right)) && mlab = RChild)
+        let p = hn.(ph lxor 1) in
+        let is_rchild, is_lchild =
+          match halves.(ph lxor 1) with
+          | RChild -> (true, false)
+          | LChild -> (false, true)
+          | Parent | Left | Right | Up | Down _ -> (false, false)
+        in
+        if
+          (not has_right)
+          <> ((not (has_half_i halves off prt p Right)) && is_rchild)
         then raise Bad_node;
-        if (not has_left) <> ((not (has_half_i t p Left)) && mlab = LChild)
+        if
+          (not has_left) <> ((not (has_half_i halves off prt p Left)) && is_lchild)
         then raise Bad_node;
-        if (not has_right) && mlab <> RChild then raise Bad_node;
-        if (not has_left) && mlab <> LChild then raise Bad_node
+        if (not has_right) && not is_rchild then raise Bad_node;
+        if (not has_left) && not is_lchild then raise Bad_node
       end;
       (* 3e *)
       if
         (not has_right) && (not has_left)
-        && not (has_lchild && has_rchild && root_labels t u 0 d)
+        && not (has_lchild && has_rchild && root_labels halves prt lo stop)
       then raise Bad_node;
       (* 3f *)
       if has_rchild <> has_lchild then raise Bad_node;
       (* 3g *)
       if (not has_lchild) && not has_rchild then begin
-        let ok_dir w =
-          w < 0 || ((not (has_half_i t w LChild)) && not (has_half_i t w RChild))
-        in
-        if not (ok_dir (follow_i t u Left) && ok_dir (follow_i t u Right))
+        if
+          not
+            (childless halves off prt (follow_i halves off prt hn u Left)
+            && childless halves off prt (follow_i halves off prt hn u Right))
         then raise Bad_node
       end;
       (* 3h *)
-      if
-        (nl.port <> None)
-        <> ((not has_right) && (not has_lchild) && not has_rchild)
+      let has_port = match nl.port with Some _ -> true | None -> false in
+      if has_port <> ((not has_right) && (not has_lchild) && not has_rchild)
       then raise Bad_node;
       (* c1 *)
-      if (not has_parent) && center_count t g u 0 d 0 <> 1 then raise Bad_node);
+      if (not has_parent) && center_count nodes prt hn lo stop 0 <> 1 then
+        raise Bad_node);
     false
   with Bad_node -> true
 

@@ -24,7 +24,18 @@ type t = {
   half_flags : half_flags array;
 }
 
-let equal_half_label (a : half_label) (b : half_label) = a = b
+(* by [match]: polymorphic [=] on a type with a non-constant
+   constructor is a [caml_equal] C call even on constant constructors *)
+let equal_half_label (a : half_label) (b : half_label) =
+  match (a, b) with
+  | Parent, Parent
+  | LChild, LChild
+  | RChild, RChild
+  | Left, Left
+  | Right, Right
+  | Up, Up -> true
+  | Down i, Down j -> i = j
+  | (Parent | LChild | RChild | Left | Right | Up | Down _), _ -> false
 
 let pp_half_label fmt = function
   | Parent -> Format.pp_print_string fmt "Parent"

@@ -14,11 +14,13 @@
    a process that never links the pool — everything runs in slot 0.
 
    Nesting is tracked with a per-slot stack of open spans. Worker slots
-   have an empty stack between chunks, so a chunk span's parent is the
-   [cross_parent]: the dispatching slot's innermost open span, published
-   before the pool dispatch (the pool's job hand-off provides the
-   happens-before edge, the same reasoning as the ambient registry
-   slot). Span ids are allocated per slot as [slot + k * nslots], which
+   have an empty stack between chunks, so a chunk span names its parent
+   explicitly: the pool latches the dispatching slot's innermost open
+   span ({!current}) into the job record at dispatch, and every chunk
+   enters with that id (the job hand-off provides the happens-before
+   edge). A shared "dispatcher's current span" cell would be rewritten by
+   slot 0 entering its own chunk while a worker reads it. Span ids are
+   allocated per slot as [slot + k * nslots], which
    makes them unique without an atomic — and makes the raw values
    depend on the pool size, which is why Trace.deterministic_projection
    renumbers them canonically.
@@ -73,10 +75,6 @@ let cur_trace = ref 0
 let nslots = ref 1
 let rings : ring array ref = ref [||]
 
-(* the dispatching slot's innermost open span id, or -1; read by worker
-   slots to parent their chunk spans *)
-let cross_parent = ref (-1)
-
 let next_trace = Atomic.make 1
 let fresh_trace_id () = Atomic.fetch_and_add next_trace 1
 
@@ -102,7 +100,6 @@ let arm ?trace_id () =
   else rings := Array.init k (fun _ -> fresh_ring ());
   nslots := k;
   cur_trace := tid;
-  cross_parent := -1;
   armed_flag := true;
   tid
 
@@ -121,16 +118,22 @@ let alloc_id r slot =
   r.next_k <- r.next_k + 1;
   id
 
-let enter ?start_ns label =
+let top r = match r.stack with h :: _ -> h.os_id | [] -> -1
+
+let current () =
+  if not !armed_flag then -1
+  else
+    let slot = !source_index () in
+    if slot >= Array.length !rings then -1 else top (!rings).(slot)
+
+let enter ?start_ns ?parent label =
   if not !armed_flag then null
   else begin
     let slot = !source_index () in
     if slot >= Array.length !rings then null
     else begin
       let r = (!rings).(slot) in
-      let parent =
-        match r.stack with h :: _ -> h.os_id | [] -> !cross_parent
-      in
+      let parent = match parent with Some p -> p | None -> top r in
       let start =
         match start_ns with Some t -> t | None -> Clock.now_ns ()
       in
@@ -139,7 +142,6 @@ let enter ?start_ns label =
           os_parent = parent }
       in
       r.stack <- h :: r.stack;
-      if slot = 0 then cross_parent := h.os_id;
       h
     end
   end
@@ -159,8 +161,6 @@ let exit ?(kvs = []) h =
         | [] -> []
       in
       r.stack <- pop r.stack;
-      if slot = 0 then
-        cross_parent := (match r.stack with o :: _ -> o.os_id | [] -> -1);
       push_ring r
         {
           trace_id = !cur_trace;
@@ -191,12 +191,7 @@ let record ~label ~start_ns ~stop_ns ?parent ?(kvs = []) () =
     if slot >= Array.length !rings then -1
     else begin
       let r = (!rings).(slot) in
-      let parent =
-        match parent with
-        | Some p -> p
-        | None -> (
-          match r.stack with h :: _ -> h.os_id | [] -> !cross_parent)
-      in
+      let parent = match parent with Some p -> p | None -> top r in
       let id = alloc_id r slot in
       push_ring r
         {

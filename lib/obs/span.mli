@@ -40,12 +40,18 @@ val fresh_trace_id : unit -> int
     request — also to requests that never arm, so log lines can always
     join against span dumps. *)
 
-val enter : ?start_ns:int -> string -> handle
-(** Open a span on the calling slot's stack; its parent is the slot's
-    innermost open span, or — for a worker slot between chunks — the
-    dispatching slot's innermost open span. [start_ns] (default: now)
-    lets a caller backdate the root to a timestamp taken on another
-    thread, e.g. request arrival. *)
+val current : unit -> int
+(** The calling slot's innermost open span id, or [-1] (none open, or
+    disarmed). The pool latches it into a job at dispatch so the job's
+    chunks can name their parent. *)
+
+val enter : ?start_ns:int -> ?parent:int -> string -> handle
+(** Open a span on the calling slot's stack. Its parent is [parent]
+    (default: the slot's innermost open span, or none) — pool chunks
+    pass the id {!current} returned on the dispatching slot, since a
+    worker slot's own stack is empty between chunks. [start_ns]
+    (default: now) lets a caller backdate the root to a timestamp taken
+    on another thread, e.g. request arrival. *)
 
 val exit : ?kvs:(string * int) list -> handle -> unit
 (** Close the span and write it to the slot's ring. Keys ending in

@@ -17,77 +17,129 @@ let delta_of (spec : _ Spec.t) = spec.Spec.hard_max_degree
 (* Constraints of Π' (§3.3)                                            *)
 (* ------------------------------------------------------------------ *)
 
+(* The checks below run once per node and once per edge of every Π'
+   validation, and at Π³ once more for every hypothetical Π² node, so
+   they follow the checker hot-path rules (DESIGN.md, "The checker hot
+   path"): sub-views are built with counted loops into exactly sized
+   arrays seeded from a real element, Ψ_G statuses are compared by
+   [match], and label values that the solver shares (one Σ_list per
+   gadget, copied Π-inputs) are compared [==]-then-[=]. Spec.mli states
+   the precondition that makes [same] exact: hierarchy labels hold no
+   floats or closures. Every sub-predicate is evaluated in the original
+   order, so verdicts match the plain definition in test/checker_ref.ml. *)
+
+let same a b = a == b || a = b
 let is_port_half (e_in : _ pe_in) = e_in.etype = PortEdge
+let is_nok (o : NP.node_out) =
+  match o.NP.status with NP.NOk -> true | NP.NPtr _ | NP.NWit -> false
+
+let unwrap = function Some h -> h | None -> assert false
 
 (* Constraint 2 at a node: Ψ_G's node constraint over gadget edges only. *)
 let psi_node_ok ~(family : Family.t) (nv : _ Ne_lcl.node_view) =
-  let idxs = ref [] in
-  Array.iteri
-    (fun k (e : _ pe_in) -> if e.etype = GadEdge then idxs := k :: !idxs)
-    nv.Ne_lcl.e_in;
-  let idxs = Array.of_list (List.rev !idxs) in
-  let some_ok =
-    Array.for_all
-      (fun k ->
-        match nv.Ne_lcl.b_out.(k) with Some _ -> true | None -> false)
-      idxs
-  in
-  some_ok
+  let e_in = nv.Ne_lcl.e_in in
+  let d = Array.length e_in in
+  (* the gadget halves: how many, the first, and whether all carry Some *)
+  let k = ref 0 and first = ref (-1) and some_ok = ref true in
+  for i = 0 to d - 1 do
+    if not (is_port_half e_in.(i)) then begin
+      if !first < 0 then first := i;
+      incr k;
+      match nv.Ne_lcl.b_out.(i) with Some _ -> () | None -> some_ok := false
+    end
+  done;
+  !some_ok
   &&
-  let unwrap k =
-    match nv.Ne_lcl.b_out.(k) with Some h -> h | None -> assert false
+  let k = !k and first = !first in
+  (* [f] of the gadget halves' entries of [a], in port order *)
+  let gadget_halves f a =
+    if k = 0 then [||]
+    else begin
+      let sub = Array.make k (f a.(first)) in
+      let j = ref 0 in
+      for i = first to d - 1 do
+        if not (is_port_half e_in.(i)) then begin
+          sub.(!j) <- f a.(i);
+          incr j
+        end
+      done;
+      sub
+    end
   in
-  let psi_view : _ Ne_lcl.node_view =
+  family.Family.ne_problem.Ne_lcl.check_node
     {
-      Ne_lcl.degree = Array.length idxs;
+      Ne_lcl.degree = k;
       v_in = (nv.Ne_lcl.v_in : _ pv_in).gad_v;
       v_out = (nv.Ne_lcl.v_out : _ pv_out).psi_v;
-      e_in = Array.map (fun _ -> ()) idxs;
-      e_out = Array.map (fun _ -> ()) idxs;
-      b_in = Array.map (fun k -> (nv.Ne_lcl.b_in.(k) : _ pb_in).gad_b) idxs;
-      b_out = Array.map unwrap idxs;
+      e_in = Array.make k ();
+      e_out = Array.make k ();
+      b_in = gadget_halves (fun (b : _ pb_in) -> b.gad_b) nv.Ne_lcl.b_in;
+      b_out = gadget_halves unwrap nv.Ne_lcl.b_out;
     }
-  in
-  family.Family.ne_problem.Ne_lcl.check_node psi_view
 
 (* Constraint 5's hypothetical node: Π's node constraint on the virtual
    node encoded in Σ_list. *)
 let hypothetical_node_ok (p : _ Ne_lcl.t) (l : _ sigma_list) =
-  let members = ref [] in
-  Array.iteri (fun k m -> if m then members := k :: !members) l.s;
-  let ms = Array.of_list (List.rev !members) in
-  let view : _ Ne_lcl.node_view =
+  let n = Array.length l.s in
+  let k = ref 0 in
+  for i = 0 to n - 1 do
+    if l.s.(i) then incr k
+  done;
+  let k = !k in
+  (* the members' entries of [a], in port order: [a] itself when every
+     port is a member (checks never mutate or retain a view) *)
+  let members a =
+    if k = n && Array.length a = n then a
+    else if k = 0 then [||]
+    else begin
+      let sub = Array.make k a.(0) in
+      let j = ref 0 in
+      for i = 0 to n - 1 do
+        if l.s.(i) then begin
+          sub.(!j) <- a.(i);
+          incr j
+        end
+      done;
+      sub
+    end
+  in
+  p.Ne_lcl.check_node
     {
-      Ne_lcl.degree = Array.length ms;
+      Ne_lcl.degree = k;
       v_in = l.iv;
       v_out = l.ov;
-      e_in = Array.map (fun k -> l.ie.(k)) ms;
-      e_out = Array.map (fun k -> l.oe.(k)) ms;
-      b_in = Array.map (fun k -> l.ib.(k)) ms;
-      b_out = Array.map (fun k -> l.ob.(k)) ms;
+      e_in = members l.ie;
+      e_out = members l.oe;
+      b_in = members l.ib;
+      b_out = members l.ob;
     }
-  in
-  p.Ne_lcl.check_node view
 
 let check_node ~(family : Family.t) (p : _ Ne_lcl.t) (nv : _ Ne_lcl.node_view) =
   let delta = family.Family.delta in
   let vin : _ pv_in = nv.Ne_lcl.v_in in
   let vout : _ pv_out = nv.Ne_lcl.v_out in
+  let e_in = nv.Ne_lcl.e_in and b_out = nv.Ne_lcl.b_out in
   (* constraint 1: ε exactly on port-edge halves *)
   let eps_ok =
-    Array.for_all
-      (fun k ->
-        let is_port = is_port_half nv.Ne_lcl.e_in.(k) in
-        match nv.Ne_lcl.b_out.(k) with
-        | None -> is_port
-        | Some _ -> not is_port)
-      (Array.init nv.Ne_lcl.degree (fun k -> k))
+    let k = ref 0 in
+    while
+      !k < nv.Ne_lcl.degree
+      &&
+      match b_out.(!k) with
+      | None -> is_port_half e_in.(!k)
+      | Some _ -> not (is_port_half e_in.(!k))
+    do
+      incr k
+    done;
+    !k >= nv.Ne_lcl.degree
   in
   (* constraint 3: PortErr2 placement *)
   let port_edge_count =
-    Array.fold_left
-      (fun acc (e : _ pe_in) -> if e.etype = PortEdge then acc + 1 else acc)
-      0 nv.Ne_lcl.e_in
+    let c = ref 0 in
+    for k = 0 to Array.length e_in - 1 do
+      if is_port_half e_in.(k) then incr c
+    done;
+    !c
   in
   let perr2_ok =
     match vin.gad_v.GL.port with
@@ -98,7 +150,7 @@ let check_node ~(family : Family.t) (p : _ Ne_lcl.t) (nv : _ Ne_lcl.node_view) =
   let psi_ok = psi_node_ok ~family nv in
   (* constraint 5, gated on the gadget claiming GadOk *)
   let list_ok =
-    vout.psi_v.NP.status <> NP.NOk
+    (not (is_nok vout.psi_v))
     ||
     let l = vout.list_part in
     Array.length l.s = delta
@@ -110,20 +162,20 @@ let check_node ~(family : Family.t) (p : _ Ne_lcl.t) (nv : _ Ne_lcl.node_view) =
        | Some i -> l.s.(i - 1) = (vout.perr = NoPortErr)
        | None -> true)
     && (match vin.gad_v.GL.port with
-       | Some 1 -> l.iv = vin.pi_v
+       | Some 1 -> same l.iv vin.pi_v
        | Some _ | None -> true)
     && (match vin.gad_v.GL.port with
        | Some i when l.s.(i - 1) ->
          (* the unique incident port edge's Π-inputs are copied *)
          let ok = ref true in
-         Array.iteri
-           (fun k (e : _ pe_in) ->
-             if e.etype = PortEdge then begin
-               if l.ie.(i - 1) <> e.pi_e then ok := false;
-               if l.ib.(i - 1) <> (nv.Ne_lcl.b_in.(k) : _ pb_in).pi_b then
-                 ok := false
-             end)
-           nv.Ne_lcl.e_in;
+         for k = 0 to Array.length e_in - 1 do
+           let e : _ pe_in = e_in.(k) in
+           if is_port_half e then begin
+             if not (same l.ie.(i - 1) e.pi_e) then ok := false;
+             if not (same l.ib.(i - 1) (nv.Ne_lcl.b_in.(k) : _ pb_in).pi_b)
+             then ok := false
+           end
+         done;
          !ok
        | Some _ | None -> true)
     && hypothetical_node_ok p l
@@ -136,8 +188,8 @@ let check_edge ~(family : Family.t) (p : _ Ne_lcl.t) (ev : _ Ne_lcl.edge_view) =
   let win : _ pv_in = ev.Ne_lcl.w_in in
   let uout : _ pv_out = ev.Ne_lcl.u_out in
   let wout : _ pv_out = ev.Ne_lcl.w_out in
-  let u_ok = uout.psi_v.NP.status = NP.NOk in
-  let w_ok = wout.psi_v.NP.status = NP.NOk in
+  let u_ok = is_nok uout.psi_v in
+  let w_ok = is_nok wout.psi_v in
   match ein.etype with
   | GadEdge -> (
     (* constraint 2: Ψ_G's edge constraint *)
@@ -160,10 +212,12 @@ let check_edge ~(family : Family.t) (p : _ Ne_lcl.t) (ev : _ Ne_lcl.edge_view) =
       in
       family.Family.ne_problem.Ne_lcl.check_edge psi_view
       (* constraint 6, gadget edges: the Σ_list agrees across the gadget *)
-      && ((not (u_ok && w_ok)) || uout.list_part = wout.list_part)
+      && ((not (u_ok && w_ok)) || same uout.list_part wout.list_part)
     | None, _ | _, None -> false (* constraint 1, edge side *))
   | PortEdge -> (
-    (ev.Ne_lcl.bu_out = None && ev.Ne_lcl.bw_out = None)
+    (match (ev.Ne_lcl.bu_out, ev.Ne_lcl.bw_out) with
+    | None, None -> true
+    | Some _, _ | _, Some _ -> false)
     &&
     (* constraint 4 *)
     let c4_side (xin : _ pv_in) (xout : _ pv_out) (yin : _ pv_in)
@@ -171,15 +225,10 @@ let check_edge ~(family : Family.t) (p : _ Ne_lcl.t) (ev : _ Ne_lcl.edge_view) =
       match xin.gad_v.GL.port with
       | None -> true
       | Some _ ->
-        let both_ports_ok =
-          yin.gad_v.GL.port <> None
-          && xout.psi_v.NP.status = NP.NOk
-          && yout.psi_v.NP.status = NP.NOk
-        in
+        let y_port = match yin.gad_v.GL.port with Some _ -> true | None -> false in
+        let both_ports_ok = y_port && is_nok xout.psi_v && is_nok yout.psi_v in
         let facing_bad =
-          yin.gad_v.GL.port = None
-          || xout.psi_v.NP.status <> NP.NOk
-          || yout.psi_v.NP.status <> NP.NOk
+          (not y_port) || (not (is_nok xout.psi_v)) || not (is_nok yout.psi_v)
         in
         ((not both_ports_ok) || xout.perr <> PortErr1)
         && ((not facing_bad) || xout.perr <> NoPortErr)
@@ -202,8 +251,8 @@ let check_edge ~(family : Family.t) (p : _ Ne_lcl.t) (ev : _ Ne_lcl.edge_view) =
         && lu.s.(i - 1)
         && lw.s.(j - 1)
       then
-        lu.ie.(i - 1) = lw.ie.(j - 1)
-        && lu.oe.(i - 1) = lw.oe.(j - 1)
+        same lu.ie.(i - 1) lw.ie.(j - 1)
+        && same lu.oe.(i - 1) lw.oe.(j - 1)
         &&
         let view : _ Ne_lcl.edge_view =
           {
@@ -396,11 +445,23 @@ let solve ~(family : Family.t) (spec : _ Spec.t) ~which inst (input : _ Labeling
         cd.members;
       (* pull the half outputs back onto the padded halves: each padded
          gadget half of this component has a local half in cd.lhalf *)
+      let off = G.ports_off g and prt = G.ports_flat g in
+      (* the prover shares one clean half per node: wrap it once *)
+      let last = ref None in
       Array.iter
         (fun v ->
-          G.iter_halves g v ~f:(fun ph ->
-              if cd.lhalf.(ph) >= 0 then
-                psi_half.(ph) <- Some sol.Labeling.b.(cd.lhalf.(ph))))
+          for k = off.(v) to off.(v + 1) - 1 do
+            let ph = prt.(k) in
+            if cd.lhalf.(ph) >= 0 then begin
+              let b = sol.Labeling.b.(cd.lhalf.(ph)) in
+              match !last with
+              | Some b' as o when b' == b -> psi_half.(ph) <- o
+              | Some _ | None ->
+                let o = Some b in
+                last := o;
+                psi_half.(ph) <- o
+            end
+          done)
         cd.members)
     comps;
   (* 2. port classification *)

@@ -7,7 +7,16 @@
     permuting a node's ports (true of any ne-LCL by definition — the paper
     notes C_N, C_E cannot depend on port numbers); solvers must accept
     disconnected graphs, self-loops, and parallel edges, because contracted
-    virtual graphs contain them (paper §2 and Lemma 4). *)
+    virtual graphs contain them (paper §2 and Lemma 4).
+
+    Requirement on the label types: they hold no floats and no closures.
+    The padded checkers compare the label values a solver shares (one
+    Σ_list per gadget, Π-inputs copied into it) as [a == b || a = b]; for
+    such values physical equality implies structural equality, so the
+    fast path cannot change a verdict. (A float [nan] is [==] to itself
+    but not [=]; [=] raises on closures.) Every problem of the hierarchy
+    meets this: its labels are unit, booleans, ints, variants and records
+    of those. *)
 
 type ('vi, 'ei, 'bi, 'vo, 'eo, 'bo) t = {
   name : string;

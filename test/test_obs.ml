@@ -518,6 +518,53 @@ let test_span_seq_par_identical () =
             (Obs.Trace.deterministic_equal seq par))
         [ 2; 4 ])
 
+(* The span-parent race made deterministic: one job of three chunks at
+   pool size 2. Slot 0 stays inside its chunk until the worker has begun
+   a second chunk, and the worker's first chunk waits until slot 0 is
+   inside its own — so the worker always opens its second pool.chunk span
+   while slot 0's chunk span is open, on any number of cores. Every chunk
+   must still parent under the dispatcher's span. *)
+let test_span_chunk_parent_race () =
+  let saved = Pool.dispatch_mode () in
+  Fun.protect
+    ~finally:(fun () ->
+      Pool.set_size 1;
+      Pool.set_dispatch_mode saved)
+    (fun () ->
+      Pool.set_size 2;
+      Pool.set_dispatch_mode Pool.Always;
+      let slot0_in = Atomic.make false and worker_second = Atomic.make false in
+      let worker_chunks = Atomic.make 0 in
+      let deadline = Obs.Clock.now_ns () + 10_000_000_000 in
+      let await flag =
+        while not (Atomic.get flag) do
+          if Obs.Clock.now_ns () > deadline then failwith "chunk barrier timed out";
+          Domain.cpu_relax ()
+        done
+      in
+      let chunk () =
+        if Pool.worker_index () = 0 then begin
+          Atomic.set slot0_in true;
+          await worker_second
+        end
+        else if Atomic.fetch_and_add worker_chunks 1 = 0 then await slot0_in
+        else Atomic.set worker_second true
+      in
+      ignore (Obs.Span.arm ());
+      let round = Obs.Span.enter "test.round" in
+      Pool.parallel_for ~chunk:16 ~n:48 (fun i -> if i mod 16 = 0 then chunk ());
+      Obs.Span.exit round;
+      let spans = Obs.Span.take () in
+      let round_id =
+        (List.find (fun s -> s.Obs.Trace.label = "test.round") spans)
+          .Obs.Trace.span_id
+      in
+      let chunks = List.filter (fun s -> s.Obs.Trace.label = "pool.chunk") spans in
+      check_int "three chunk spans" 3 (List.length chunks);
+      check_int "the worker ran two chunks" 2 (Atomic.get worker_chunks);
+      check "every chunk parents under the dispatcher's span" true
+        (List.for_all (fun s -> s.Obs.Trace.parent = round_id) chunks))
+
 let suite =
   [
     ("counter arithmetic and gating", `Quick, test_counter_arithmetic);
@@ -529,6 +576,7 @@ let suite =
     ("span projection canonicalizes", `Quick, test_span_projection_canonicalizes);
     ("span forest rebuild", `Quick, test_span_forest_rebuild);
     ("seq-vs-par span telemetry", `Quick, test_span_seq_par_identical);
+    ("span chunk parent under race", `Quick, test_span_chunk_parent_race);
     ("registry find-or-create", `Quick, test_registry_sharing);
     ("registry isolation", `Quick, test_registry_isolation);
     ("trace abort scoped to registry", `Quick, test_trace_abort_scoped_to_registry);
